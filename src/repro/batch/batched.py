@@ -22,7 +22,7 @@ import numpy as np
 from repro.batch.cache import FactorCache
 from repro.core.factor import CholeskyFactor
 from repro.core.methods import check_factor_args
-from repro.core.pmvn import PMVNOptions, _resolve_means, pmvn_integrate_batch
+from repro.core.pmvn import _resolve_means
 from repro.mvn.mc import mvn_mc
 from repro.mvn.result import MVNResult
 from repro.mvn.sov import mvn_sov, mvn_sov_vectorized
@@ -206,36 +206,4 @@ def _baseline_loop(boxes, sigma, method, n_samples, means, qmc, rng) -> list[MVN
             )
         else:  # pragma: no cover - a METHOD_SPECS baseline this loop doesn't know
             raise AssertionError(f"unhandled baseline method {method!r}")
-    return results
-
-
-def _batched_parallel(
-    boxes, method, n_samples, means, accuracy, qmc, rng, runtime,
-    factor, chain_block, max_workspace_cols, timings,
-    backend=None, workspace=None, kernel_threads=None, fusion=None,
-) -> list[MVNResult]:
-    """The batched sweep shared by ``"dense"`` and ``"tlr"``.
-
-    The caller (:meth:`repro.solver.Model.probability_batch`) owns the
-    factorization, the runtime, the kernel backend choice and the pooled
-    sweep workspace; this helper only runs the sweep and stamps the
-    per-result metadata.
-    """
-    if not isinstance(factor, CholeskyFactor):
-        raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
-    options = PMVNOptions(
-        n_samples=n_samples, chain_block=chain_block, qmc=qmc, rng=rng,
-        max_workspace_cols=max_workspace_cols, backend=backend,
-        workspace=workspace, timings=timings,
-        kernel_threads=kernel_threads, fusion=fusion or "auto",
-    )
-    results = pmvn_integrate_batch(boxes, factor, options, runtime=runtime, means=means)
-    for result in results:
-        result.method = f"pmvn-{method}"
-        result.details["tile_size"] = factor.tile_size
-        if method == "tlr":
-            result.details["tlr_accuracy"] = accuracy
-            result.details["max_rank"] = (
-                factor.tlr.max_offdiag_rank() if hasattr(factor, "tlr") else None
-            )
     return results

@@ -54,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.kernel_backend import known_backends
 from repro.core.methods import ACCEPTED_METHODS
 from repro.runtime.scheduler import ACCEPTED_POLICIES
 from repro.serve.config import SIGMA_TRANSPORTS, WORKER_MODES
@@ -81,7 +82,7 @@ def _add_mvn_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--accuracy", type=float, default=1e-3, help="TLR compression accuracy")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", default=None,
-                        choices=["numpy", "numba", "numba-parallel", "cupy", "reference", "auto"],
+                        choices=known_backends(),
                         help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
     parser.add_argument("--kernel-threads", type=int, default=None,
                         help="threads for chain-parallel kernel backends "
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     crd.add_argument("--samples", type=int, default=2000)
     crd.add_argument("--seed", type=int, default=0)
     crd.add_argument("--backend", default=None,
-                     choices=["numpy", "numba", "numba-parallel", "cupy", "reference", "auto"],
+                     choices=known_backends(),
                      help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
     crd.add_argument("--kernel-threads", type=int, default=None,
                      help="threads for chain-parallel kernel backends "
@@ -172,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--samples", type=int, default=2000)
     pipe.add_argument("--seed", type=int, default=0)
     pipe.add_argument("--backend", default=None,
-                      choices=["numpy", "numba", "numba-parallel", "cupy",
-                               "reference", "auto"],
+                      choices=known_backends(),
                       help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
     pipe.add_argument("--kernel-threads", type=int, default=None,
                       help="threads for chain-parallel kernel backends")
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--samples", type=int, default=2000,
                          help="default QMC sample size for queries that omit it")
     gateway.add_argument("--backend", default=None,
-                         choices=["numpy", "numba", "numba-parallel", "cupy", "reference", "auto"],
+                         choices=known_backends(),
                          help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
     gateway.add_argument("--kernel-threads", type=int, default=None,
                          help="threads for chain-parallel kernel backends "

@@ -30,7 +30,7 @@ Two strategies for step 4 are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,29 +194,25 @@ def _confidence_region_impl(
     sigma,
     mean,
     threshold: float,
+    options: PMVNOptions,
     method: str = "dense",
     algorithm: str = "prefix",
-    n_samples: int = 10_000,
     tile_size: int | None = None,
     accuracy: float = 1e-3,
     max_rank: int | None = None,
     runtime: Runtime | None = None,
-    qmc: str = "richtmyer",
-    rng=None,
     nugget: float = 1e-8,
-    timings: TimingRegistry | None = None,
     levels: np.ndarray | None = None,
     cache=None,
-    backend: str | None = None,
-    workspace=None,
     validate: bool = True,
     std_memo: dict | None = None,
 ) -> ConfidenceRegionResult:
-    """Algorithm 1 proper (shared by the wrapper above and the solver API).
+    """Algorithm 1 proper (run by :meth:`repro.solver.Model.confidence_region`).
 
-    ``backend`` / ``workspace`` select the QMC kernel implementation and the
-    pooled sweep buffers for the PMVN sweeps (see
-    :class:`repro.core.pmvn.PMVNOptions`).  ``validate=False`` skips the
+    ``options`` are the PMVN sweep options the model built from its
+    :class:`~repro.solver.SolverConfig` (sample size, QMC sequence and seed,
+    kernel backend, pooled workspace, chain block, workspace cap, kernel
+    threads); both prefix strategies sweep with them.  ``validate=False`` skips the
     :func:`~repro.utils.validation.check_covariance` pass (an ``O(n^2)``
     symmetry scan) for callers that already validated this covariance — a
     :class:`~repro.solver.solver.Model` checks once and then amortizes it
@@ -240,7 +236,8 @@ def _confidence_region_impl(
     if mu.shape[0] != n:
         raise ValueError("mean must have one entry per location")
     threshold = float(threshold)
-    timings = timings if timings is not None else TimingRegistry()
+    timings = options.timings if options.timings is not None else TimingRegistry()
+    options = replace(options, timings=timings)
 
     with timed(timings, "marginals"):
         p_marginal = marginal_exceedance(mu, np.diag(sigma), threshold)
@@ -276,13 +273,9 @@ def _confidence_region_impl(
         )
 
     if algorithm == "prefix":
-        prefix_prob, prefix_err = _prefix_joint_probabilities(
-            factor, a_std, n_samples, qmc, rng, runtime, timings, backend, workspace
-        )
+        prefix_prob, prefix_err = _prefix_joint_probabilities(factor, a_std, options, runtime)
     elif algorithm == "sequential":
-        prefix_prob, prefix_err = _sequential_joint_probabilities(
-            factor, a_std, n_samples, qmc, rng, runtime, timings, levels, backend, workspace
-        )
+        prefix_prob, prefix_err = _sequential_joint_probabilities(factor, a_std, options, runtime, levels)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'prefix' or 'sequential'")
 
@@ -301,7 +294,7 @@ def _confidence_region_impl(
         details={
             "prefix_probabilities": prefix_prob,
             "prefix_errors": prefix_err,
-            "n_samples": n_samples,
+            "n_samples": options.n_samples,
             "algorithm": algorithm,
             "timings": timings.summary(),
             "tile_size": factor.tile_size,
@@ -313,22 +306,15 @@ def _confidence_region_impl(
 def _prefix_joint_probabilities(
     factor: CholeskyFactor,
     a_std: np.ndarray,
-    n_samples: int,
-    qmc: str,
-    rng,
+    options: PMVNOptions,
     runtime: Runtime | None,
-    timings: TimingRegistry,
-    backend: str | None = None,
-    workspace=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All prefix joint probabilities from a single PMVN sweep."""
-    n = factor.n
-    b = np.full(n, np.inf)
-    options = PMVNOptions(
-        n_samples=n_samples, qmc=qmc, rng=rng, return_prefix=True,
-        backend=backend, workspace=workspace, timings=timings,
-    )
-    with timed(timings, "pmvn_sweep"):
+    b = np.full(factor.n, np.inf)
+    # per-row prefix sums are accumulated per box, which only the
+    # interleaved schedule can attribute
+    options = replace(options, return_prefix=True, fusion="interleaved")
+    with timed(options.timings, "pmvn_sweep"):
         result = pmvn_integrate(a_std, b, factor, options, runtime=runtime)
     return result.details["prefix_probabilities"], result.details["prefix_errors"]
 
@@ -336,14 +322,9 @@ def _prefix_joint_probabilities(
 def _sequential_joint_probabilities(
     factor: CholeskyFactor,
     a_std: np.ndarray,
-    n_samples: int,
-    qmc: str,
-    rng,
+    options: PMVNOptions,
     runtime: Runtime | None,
-    timings: TimingRegistry,
     levels: np.ndarray | None,
-    backend: str | None = None,
-    workspace=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Paper-faithful prefix boxes, expressed as a prefix-chain pipeline.
 
@@ -352,10 +333,9 @@ def _sequential_joint_probabilities(
     factor-bound: the chain compiles into one fused stage, which
     :func:`repro.query.executors.execute_factor_bound` dispatches as a
     single :func:`~repro.core.pmvn.pmvn_integrate_batch` call against the
-    shared factor — same boxes, same order, same options (the chain block
-    is pinned to the factor tile size), so the per-chain arithmetic — and
-    hence every probability — is identical to the historical
-    one-``pmvn_integrate``-per-prefix loop this replaces.
+    shared factor — same boxes, same order, same options, so every
+    probability equals the one-``pmvn_integrate``-per-prefix loop this
+    replaces.
 
     Prefix sizes not in ``levels`` are filled by linear interpolation of the
     evaluated ones so the confidence function is defined everywhere.
@@ -371,11 +351,7 @@ def _sequential_joint_probabilities(
                               sizes=None if levels is None else levels)
     sizes = np.array([pipeline.node(name).query.tag
                       for name in pipeline.node("chain").inputs])
-    options = PMVNOptions(
-        n_samples=n_samples, chain_block=factor.tile_size, qmc=qmc, rng=rng,
-        backend=backend, workspace=workspace, timings=timings,
-    )
-    with timed(timings, "pmvn_sequential"):
+    with timed(options.timings, "pmvn_sequential"):
         out = execute_factor_bound(pipeline, factor, options, runtime=runtime)
     prob_at, err_at = out["chain"]
     all_sizes = np.arange(1, n + 1)

@@ -24,8 +24,8 @@ its own chain blocks, and blocks from different boxes are interleaved in the
 submission order so worker threads stay saturated across box boundaries.
 Because each MC chain is independent, the per-chain probabilities are the
 same values a loop of single-box sweeps would produce — batching changes the
-schedule, not the estimator.  :func:`pmvn_integrate` is the single-box
-special case.
+schedule, not the estimator.  :func:`pmvn_integrate` is a batch of one: it
+runs the same executor with the same chain-block policy.
 
 Fused batch sweeps
 ------------------
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,9 +109,9 @@ class PMVNOptions:
     n_samples : int
         QMC sample size ``N`` (the paper uses 100 / 1,000 / 10,000).
     chain_block : int, optional
-        Number of MC chains per column block.  Defaults to the factor tile
-        size for the single-box sweep (matching the square tiles of the
-        paper) and to :data:`BATCH_CHAIN_BLOCK` for the batched sweep.
+        Number of MC chains per column block.  Defaults to
+        :data:`BATCH_CHAIN_BLOCK` (capped at ``n_samples``, never narrower
+        than the factor tile size).  Results do not depend on it.
     qmc : str
         QMC sequence name (``"richtmyer"``, ``"halton"``, ``"sobol"``,
         ``"random"``).
@@ -331,7 +331,6 @@ def pmvn_integrate_batch(
     backend = get_backend(options.backend)
     clock = _PhaseClock()
     results: list[MVNResult | None] = [None] * n_boxes
-    aux_before = backend.aux() if backend.aux is not None else None
     threads_set = options.kernel_threads is not None
     prev_threads = set_kernel_threads(options.kernel_threads) if threads_set else None
     try:
@@ -347,12 +346,6 @@ def pmvn_integrate_batch(
     if timings is not None:
         timings.add("kernel_sweep", clock.kernel)
         timings.add("gemm_propagation", clock.gemm)
-    aux_delta: dict[str, float] | None = None
-    if aux_before is not None:
-        # per-sweep delta of the backend's cumulative counters (e.g. the cupy
-        # backend's host<->device transfer seconds/bytes)
-        aux_after = backend.aux()
-        aux_delta = {key: aux_after[key] - aux_before.get(key, 0.0) for key in aux_after}
     for result in results:
         # phase seconds are whole-batch aggregates: chain blocks of different
         # boxes interleave on the workers, so per-box attribution is undefined
@@ -360,8 +353,6 @@ def pmvn_integrate_batch(
         result.details["kernel_seconds"] = clock.kernel
         result.details["gemm_seconds"] = clock.gemm
         result.details["fusion"] = "fused" if fused else "interleaved"
-        if aux_delta:
-            result.details.update(aux_delta)
     return results  # type: ignore[return-value]
 
 
@@ -880,8 +871,8 @@ def pmvn_integrate(
     """Estimate ``P(a <= X <= b)`` given a pre-computed Cholesky factor.
 
     This is the function Algorithm 1 calls repeatedly with the same factor
-    and different limit vectors — the single-box case of
-    :func:`pmvn_integrate_batch`.
+    and different limit vectors — :func:`pmvn_integrate_batch` run as a
+    batch of one, so both return the same numbers for the same options.
 
     Parameters
     ----------
@@ -897,10 +888,6 @@ def pmvn_integrate(
     mean : float or array_like
         Mean vector, absorbed into the limits.
     """
-    options = options or PMVNOptions()
-    if options.chain_block is None:
-        # the single-box sweep keeps the paper's square-tile chain blocks
-        options = replace(options, chain_block=factor.tile_size)
     if np.isscalar(mean):
         means = mean
     else:
@@ -910,6 +897,25 @@ def pmvn_integrate(
         # ambiguous for 1-dimensional problems (n == n_boxes == 1)
         means = float(arr) if arr.ndim == 0 else arr[None, :]
     return pmvn_integrate_batch([(a, b)], factor, options, runtime=runtime, means=means)[0]
+
+
+def _stamp_factor_details(
+    results: list[MVNResult], method: str, factor: CholeskyFactor, accuracy: float | None = None
+) -> list[MVNResult]:
+    """Stamp the ``pmvn-dense`` / ``pmvn-tlr`` method and factor metadata.
+
+    Shared by :func:`pmvn_dense` / :func:`pmvn_tlr` and the batched solver
+    path, so a result reports the same fields whichever entry point ran it.
+    """
+    for result in results:
+        result.method = f"pmvn-{method}"
+        result.details["tile_size"] = factor.tile_size
+        if method == "tlr":
+            result.details["tlr_accuracy"] = accuracy
+            result.details["max_rank"] = (
+                factor.tlr.max_offdiag_rank() if hasattr(factor, "tlr") else None
+            )
+    return results
 
 
 def pmvn_dense(
@@ -947,9 +953,7 @@ def pmvn_dense(
         kernel_threads=kernel_threads,
     )
     result = pmvn_integrate(a, b, factor, options, runtime=runtime, mean=mean)
-    result.method = "pmvn-dense"
-    result.details["tile_size"] = factor.tile_size
-    return result
+    return _stamp_factor_details([result], "dense", factor)[0]
 
 
 def pmvn_tlr(
@@ -998,8 +1002,4 @@ def pmvn_tlr(
         kernel_threads=kernel_threads,
     )
     result = pmvn_integrate(a, b, factor, options, runtime=runtime, mean=mean)
-    result.method = "pmvn-tlr"
-    result.details["tile_size"] = factor.tile_size
-    result.details["tlr_accuracy"] = accuracy
-    result.details["max_rank"] = factor.tlr.max_offdiag_rank() if hasattr(factor, "tlr") else None
-    return result
+    return _stamp_factor_details([result], "tlr", factor, accuracy)[0]

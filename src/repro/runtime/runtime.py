@@ -74,7 +74,8 @@ class Runtime:
 
     #: executed-task objects retained for inspection; long-lived runtimes
     #: (solver sessions, serve shards) would otherwise accumulate every Task
-    #: — and the argument buffers its closures reference — forever
+    #: forever.  Retained tasks are released (:meth:`Task.release`), so the
+    #: window never pins the argument buffers of finished work
     EXECUTED_HISTORY = 1024
 
     def __init__(
@@ -192,6 +193,8 @@ class Runtime:
             failures = self._run_serial(pending)
         else:
             failures = self._run_threaded(pending)
+        for task in pending:
+            task.release()
         self._executed.extend(pending)
         self.tasks_executed += len(pending)
         # reset the graph so the runtime can be reused for the next phase

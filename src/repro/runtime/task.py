@@ -135,6 +135,17 @@ class Task:
         self.result = out
         return out
 
+    def release(self) -> None:
+        """Drop the body, its arguments and its handles once the task has run.
+
+        A runtime keeps a window of executed tasks for inspection; without
+        this the window would also keep alive every buffer those tasks
+        referenced, such as the workspace of a sweep that has finished.
+        """
+        self.func = None
+        self.accesses = []
+        self.kwargs = {}
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task({self.name!r}, uid={self.uid}, state={self.state.value})"
 

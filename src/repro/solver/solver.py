@@ -37,18 +37,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch.batched import _baseline_loop, _batched_parallel, _stamp_batch_details
+from repro.batch.batched import _baseline_loop, _stamp_batch_details
 from repro.batch.cache import FactorCache, sigma_fingerprint
 from repro.core.crd import ConfidenceRegionResult, _confidence_region_impl
 from repro.core.factor import CholeskyFactor, TLRFactor, factorize
 from repro.core.methods import check_factor_args
-from repro.core.pmvn import SweepWorkspace, _resolve_means, pmvn_dense, pmvn_tlr
+from repro.core.pmvn import (
+    PMVNOptions,
+    SweepWorkspace,
+    _resolve_means,
+    _stamp_factor_details,
+    pmvn_integrate_batch,
+)
 from repro.core.update import FactorLineage, lineage_fingerprint, normalize_update, update_factor
-from repro.mvn.mc import mvn_mc
 from repro.mvn.result import MVNResult
-from repro.mvn.sov import mvn_sov, mvn_sov_vectorized
 from repro.query import MVNQuery, QueryPlan, QueryPlanner
-from repro.query.pipeline import escalate_batch, run_adaptive
+from repro.query.pipeline import escalate_batch
 from repro.runtime import Runtime
 from repro.solver.config import SolverConfig
 from repro.utils.validation import check_covariance, check_limits
@@ -58,6 +62,23 @@ __all__ = ["MVNSolver", "Model"]
 #: default sentinel: "the solver owns a fresh cache" (pass ``cache=None`` to
 #: disable caching entirely, or an existing FactorCache to share one)
 _OWNED_CACHE = object()
+
+
+def _shared_means(mean, n_boxes: int):
+    """A mean shared by every box, in the form the batched means-resolver expects.
+
+    A flat length-``n`` vector already means "shared by every box" to the
+    resolver — except when ``n == n_boxes``, where it is ambiguous; only
+    then is it expanded to an explicit ``(n_boxes, n)`` array.
+    """
+    if mean is None or np.isscalar(mean):
+        return mean
+    arr = np.asarray(mean, dtype=np.float64)
+    if arr.ndim == 0:
+        return float(arr)
+    if arr.ndim == 1 and arr.shape[0] == n_boxes:
+        return np.tile(arr.reshape(1, -1), (n_boxes, 1))
+    return arr
 
 
 def _boxes_one_sided_fraction(boxes) -> float:
@@ -216,6 +237,8 @@ class Model:
     """
 
     def __init__(self, solver: MVNSolver, sigma, mean=0.0, factor: CholeskyFactor | None = None) -> None:
+        if factor is not None and not isinstance(factor, CholeskyFactor):
+            raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
         self._solver = solver
         # sigma may be None for models produced by :meth:`update`: the child
         # covariance is derivable (``parent ± U U^T``) but never needed on
@@ -498,11 +521,11 @@ class Model:
 
         The spec -> plan -> execute path every entry point funnels through:
         the planner resolves the estimator (``method="auto"``) and kernel
-        backend, then the adaptive loop runs the sweep — once, or with
-        escalating sample counts when ``query.target_error`` is set —
-        reusing the model's cached factor and pooled workspaces.  The plan
-        and the escalation outcome are recorded under
-        ``result.details["plan"]``.
+        backend from the query, then the plan runs exactly as a
+        :meth:`probability_batch` of one box — the same sweep, and with
+        ``query.target_error`` the same escalation — reusing the model's
+        cached factor and pooled workspaces.  The plan and the escalation
+        outcome are recorded under ``result.details["plan"]``.
         """
         solver = self._solver
         solver._check_open()
@@ -510,55 +533,9 @@ class Model:
             raise TypeError(f"query must be an MVNQuery, got {type(query).__name__}")
         check_limits(query.a, query.b, self.n)
         mean = self._mean if query.mean is None else query.mean
-        cfg = solver.config
-        qmc = cfg.qmc if query.qmc is None else query.qmc
+        qmc = solver.config.qmc if query.qmc is None else query.qmc
         plan = self.plan(query)
-
-        # the adaptive loop itself lives in repro.query.pipeline so single
-        # queries and pipeline stages share literally the same schedule
-        result, rounds, samples_used, target_met = run_adaptive(
-            lambda count: self._evaluate(
-                plan.method, query.a, query.b, mean, count, qmc,
-                query.rng, plan.backend, timings,
-            ),
-            plan,
-        )
-        result.details["plan"] = plan.as_details(
-            rounds=rounds, samples_used=samples_used, target_met=target_met
-        )
-        if self._lineage is not None:
-            result.details["lineage"] = self._lineage.as_details()
-        return result
-
-    def _evaluate(self, method, a, b, mean, n_samples, qmc, rng, backend, timings) -> MVNResult:
-        """One estimator run with an explicitly resolved method/backend."""
-        solver = self._solver
-        cfg = solver.config
-        if method == "mc":
-            return mvn_mc(a, b, self._sigma, n_samples=n_samples, mean=mean, rng=rng)
-        if method == "sov-seq":
-            return mvn_sov(a, b, self._sigma, n_samples=n_samples, mean=mean, qmc=qmc, rng=rng)
-        if method == "sov":
-            return mvn_sov_vectorized(a, b, self._sigma, n_samples=n_samples, mean=mean, qmc=qmc, rng=rng)
-        factor = self._ensure_factor(method, timings=timings)
-        if method == "dense":
-            return pmvn_dense(
-                a, b, None, n_samples=n_samples, tile_size=cfg.tile_size,
-                runtime=solver.runtime, mean=mean, qmc=qmc, rng=rng,
-                chain_block=cfg.chain_block, factor=factor,
-                backend=backend, workspace=self._sweep_workspace,
-                kernel_threads=cfg.kernel_threads,
-                timings=timings,
-            )
-        # method == "tlr" (the registry admits nothing else)
-        return pmvn_tlr(
-            a, b, None, n_samples=n_samples, tile_size=cfg.tile_size,
-            accuracy=cfg.accuracy, max_rank=cfg.max_rank, runtime=solver.runtime,
-            mean=mean, qmc=qmc, rng=rng, chain_block=cfg.chain_block,
-            factor=factor, backend=backend, workspace=self._sweep_workspace,
-            kernel_threads=cfg.kernel_threads,
-            timings=timings,
-        )
+        return self._execute(plan, [(query.a, query.b)], _shared_means(mean, 1), qmc, query.rng, timings)[0]
 
     def probability_batch(
         self, boxes, *, means=None, n_samples: int | None = None, rng=None,
@@ -591,7 +568,7 @@ class Model:
                 raise ValueError(f"box {idx} must be an (a, b) pair of limit vectors") from None
             check_limits(a_raw, b_raw, self.n)
         if means is None:
-            means = self._shared_means(len(boxes))
+            means = _shared_means(self._mean, len(boxes))
         if target_error is not None and not (float(target_error) > 0.0):
             raise ValueError(f"target_error must be > 0, got {target_error!r}")
         if max_samples is not None and n_samples is not None and max_samples < n_samples:
@@ -607,13 +584,30 @@ class Model:
             target_error=None if target_error is None else float(target_error),
             max_samples=max_samples,
         )
+        return _stamp_batch_details(self._execute(plan, boxes, means, qmc, rng, timings))
 
+    def _execute(self, plan: QueryPlan, boxes, means, qmc, rng, timings) -> list[MVNResult]:
+        """Run a plan over boxes: one sweep, then per-box escalation.
+
+        The one execution path of :meth:`query` (a batch of one) and
+        :meth:`probability_batch`.  Each box whose standard error misses
+        ``plan.target_error`` follows the escalation schedule of
+        :func:`repro.query.next_sample_count`; boxes that land on the same
+        next sample count share one re-sweep.
+        """
         results = self._evaluate_batch(plan, boxes, means, plan.n_samples, qmc, rng, timings)
         rounds = [1] * len(boxes)
         samples_used = [plan.n_samples] * len(boxes)
         if plan.target_error is not None:
-            self._escalate_batch(plan, boxes, means, qmc, rng, timings,
-                                 results, rounds, samples_used)
+            resolved = _resolve_means(means, len(boxes), self.n)
+            escalate_batch(
+                lambda indices, n_next: self._evaluate_batch(
+                    plan, [boxes[i] for i in indices],
+                    np.stack([resolved[i] for i in indices]),
+                    n_next, qmc, rng, timings,
+                ),
+                plan, results, rounds, samples_used,
+            )
         for idx, result in enumerate(results):
             met = None
             if plan.target_error is not None:
@@ -623,40 +617,31 @@ class Model:
             )
             if self._lineage is not None:
                 result.details["lineage"] = self._lineage.as_details()
-        return _stamp_batch_details(results)
+        return results
+
+    def _sweep_options(self, n_samples: int, qmc: str, rng, backend, timings) -> PMVNOptions:
+        """The one :class:`SolverConfig` -> :class:`PMVNOptions` mapping.
+
+        Every PMVN sweep of this model — single queries, batches and the
+        confidence-region sweeps — takes its options from here, so the
+        config's sweep knobs reach all of them.
+        """
+        cfg = self.config
+        return PMVNOptions(
+            n_samples=n_samples, chain_block=cfg.chain_block, qmc=qmc, rng=rng,
+            max_workspace_cols=cfg.max_workspace_cols, backend=backend,
+            workspace=self._sweep_workspace, timings=timings,
+            kernel_threads=cfg.kernel_threads, fusion=cfg.batch_fusion or "auto",
+        )
 
     def _evaluate_batch(self, plan: QueryPlan, boxes, means, n_samples, qmc, rng, timings) -> list[MVNResult]:
         """One batched sweep with an explicitly resolved method/backend."""
-        solver = self._solver
-        cfg = solver.config
         if plan.method not in ("dense", "tlr"):
             return _baseline_loop(boxes, self._sigma, plan.method, n_samples, means, qmc, rng)
         factor = self._ensure_factor(plan.method, timings=timings)
-        return _batched_parallel(
-            boxes, plan.method, n_samples, means, cfg.accuracy, qmc, rng,
-            solver.runtime, factor, cfg.chain_block,
-            cfg.max_workspace_cols, timings,
-            backend=plan.backend, workspace=self._sweep_workspace,
-            kernel_threads=cfg.kernel_threads, fusion=cfg.batch_fusion,
-        )
-
-    def _escalate_batch(self, plan, boxes, means, qmc, rng, timings,
-                        results, rounds, samples_used) -> None:
-        """Per-box adaptive refinement of a batched sweep (in place).
-
-        Each unmet box follows exactly the escalation schedule of a single
-        adaptive query (:func:`repro.query.next_sample_count`); boxes that
-        land on the same next sample count share one re-sweep.
-        """
-        resolved = _resolve_means(means, len(boxes), self.n)
-        escalate_batch(
-            lambda indices, n_next: self._evaluate_batch(
-                plan, [boxes[i] for i in indices],
-                np.stack([resolved[i] for i in indices]),
-                n_next, qmc, rng, timings,
-            ),
-            plan, results, rounds, samples_used,
-        )
+        options = self._sweep_options(n_samples, qmc, rng, plan.backend, timings)
+        results = pmvn_integrate_batch(boxes, factor, options, runtime=self._solver.runtime, means=means)
+        return _stamp_factor_details(results, plan.method, factor, self.config.accuracy)
 
     def confidence_region(
         self, threshold: float, *, algorithm: str = "prefix",
@@ -683,34 +668,17 @@ class Model:
                 f"confidence_region requires a factor-based method "
                 f"('dense' or 'tlr'), not {cfg.method!r}"
             )
-        n_samples = cfg.n_samples if n_samples is None else n_samples
-        qmc = cfg.qmc if qmc is None else qmc
+        options = self._sweep_options(
+            cfg.n_samples if n_samples is None else n_samples,
+            cfg.qmc if qmc is None else qmc, rng, backend, timings,
+        )
         if not self._sigma_validated:
             self._sigma_arr = check_covariance(self._sigma, "covariance")
             self._sigma_validated = True
         return _confidence_region_impl(
-            self._sigma, self._mean, threshold, method=method,
-            algorithm=algorithm, n_samples=n_samples, tile_size=cfg.tile_size,
+            self._sigma, self._mean, threshold, options, method=method,
+            algorithm=algorithm, tile_size=cfg.tile_size,
             accuracy=cfg.accuracy, max_rank=cfg.max_rank,
-            runtime=solver.runtime, qmc=qmc, rng=rng, nugget=nugget,
-            timings=timings, levels=levels, cache=solver.cache,
-            backend=backend, workspace=self._sweep_workspace, validate=False,
-            std_memo=self._std_memo,
+            runtime=solver.runtime, nugget=nugget, levels=levels,
+            cache=solver.cache, validate=False, std_memo=self._std_memo,
         )
-
-    def _shared_means(self, n_boxes: int):
-        """The model mean in the form the batched means-resolver expects.
-
-        A flat length-``n`` vector already means "shared by every box" to
-        the resolver — except when ``n == n_boxes``, where it is ambiguous;
-        only then is it expanded to an explicit ``(n_boxes, n)`` array.
-        """
-        mean = self._mean
-        if mean is None or np.isscalar(mean):
-            return mean
-        arr = np.asarray(mean, dtype=np.float64)
-        if arr.ndim == 0:
-            return float(arr)
-        if arr.ndim == 1 and arr.shape[0] == n_boxes:
-            return np.tile(arr.reshape(1, -1), (n_boxes, 1))
-        return arr

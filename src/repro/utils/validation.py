@@ -68,13 +68,18 @@ def check_symmetric(a, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
 def check_covariance(sigma, name: str = "covariance", require_spd: bool = False) -> np.ndarray:
     """Validate a covariance matrix.
 
-    Checks squareness, symmetry, strictly positive diagonal and, when
-    ``require_spd`` is set, positive definiteness via a Cholesky attempt.
+    Checks squareness, finiteness (naming the first NaN/inf entry), symmetry,
+    strictly positive diagonal and, when ``require_spd`` is set, positive
+    definiteness via a Cholesky attempt.
     """
-    arr = check_symmetric(sigma, name)
-    diag = np.diag(arr)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must have a strictly positive, finite diagonal")
+    arr = check_square(sigma, name)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{name} must be finite: entry ({i}, {j}) is {arr[i, j]}")
+    arr = check_symmetric(arr, name)
+    if np.any(np.diag(arr) <= 0.0):
+        raise ValueError(f"{name} must have a strictly positive diagonal")
     if require_spd:
         try:
             np.linalg.cholesky(arr)

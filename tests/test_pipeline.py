@@ -14,8 +14,8 @@ Five concerns:
   single calls it replaces, agrees with the broker executor, honors
   ``negate=True`` exactly like ``negative_confidence_region``, and the
   factor-bound executor matches a direct ``pmvn_integrate_batch`` call,
-* **adaptive schedule** — ``run_adaptive`` / ``escalate_batch`` implement
-  the escalation loop shared by every entry point.
+* **adaptive schedule** — ``escalate_batch`` implements the escalation
+  loop shared by every entry point (a single query is a batch of one).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.query import (
     escalate_batch,
     execute_factor_bound,
     execute_pipeline,
-    run_adaptive,
     simulate_pipeline,
 )
 from repro.core.factor import factorize
@@ -393,41 +392,46 @@ class TestAdaptiveSchedule:
         return SimpleNamespace(n_samples=n_samples, target_error=target_error,
                                max_samples=max_samples)
 
-    def test_run_adaptive_single_round_without_target(self):
+    def test_query_without_target_runs_one_sweep(self, sigma8, monkeypatch):
+        import repro.solver.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "escalate_batch",
+                            lambda *args: pytest.fail("no target: no escalation"))
+        with MVNSolver(SolverConfig(method="dense", n_samples=100)) as solver:
+            result = solver.model(sigma8).probability(np.full(8, -np.inf), np.zeros(8), rng=0)
+        plan = result.details["plan"]
+        assert plan["rounds"] == 1 and plan["samples_used"] == 100
+        assert plan["target_met"] is None and result.n_samples == 100
+
+    def test_escalate_batch_one_box_escalates_until_met(self):
+        errors = iter([1e-4])
         calls = []
 
-        def evaluate(n):
-            calls.append(n)
-            return SimpleNamespace(error=0.5)
+        def evaluate(indices, n_next):
+            calls.append((tuple(indices), n_next))
+            return [SimpleNamespace(error=next(errors))]
 
-        result, rounds, used, met = run_adaptive(evaluate, self._plan())
-        assert calls == [100] and rounds == 1 and used == 100 and met is None
-        assert result.error == 0.5
+        results, rounds, used = [SimpleNamespace(error=4e-2)], [1], [100]
+        escalate_batch(evaluate, self._plan(target_error=1e-3, max_samples=10**7),
+                       results, rounds, used)
+        assert rounds == [2]
+        assert calls[0][0] == (0,) and calls[0][1] > 100
+        assert used == [100 + calls[0][1]]
+        assert results[0].error == 1e-4
 
-    def test_run_adaptive_escalates_until_met(self):
-        errors = iter([4e-2, 1e-4])
+    def test_escalate_batch_one_box_stops_at_budget(self):
         calls = []
 
-        def evaluate(n):
-            calls.append(n)
-            return SimpleNamespace(error=next(errors))
+        def evaluate(indices, n_next):
+            calls.append(n_next)
+            return [SimpleNamespace(error=1.0)]  # never meets the target
 
-        result, rounds, used, met = run_adaptive(
-            evaluate, self._plan(target_error=1e-3, max_samples=10**7))
-        assert rounds == 2 and met is True
-        assert calls[1] > calls[0]
-        assert used == sum(calls)
-        assert result.error == 1e-4
-
-    def test_run_adaptive_flags_budget_exhaustion(self):
-        def evaluate(n):
-            return SimpleNamespace(error=1.0)  # never meets the target
-
-        result, rounds, used, met = run_adaptive(
-            evaluate, self._plan(n_samples=100, target_error=1e-6,
-                                 max_samples=200))
-        assert met is False
-        assert rounds >= 1
+        plan = self._plan(n_samples=100, target_error=1e-6, max_samples=200)
+        results, rounds, used = [SimpleNamespace(error=1.0)], [1], [100]
+        escalate_batch(evaluate, plan, results, rounds, used)
+        # one step to the budget cap, then stop with the target unmet
+        assert calls == [200] and rounds == [2] and used == [300]
+        assert results[0].error > plan.target_error
 
     def test_escalate_batch_groups_resweeps(self):
         plan = self._plan(n_samples=100, target_error=1e-3, max_samples=10**7)

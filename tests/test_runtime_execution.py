@@ -164,6 +164,26 @@ class TestRuntimeSerial:
         assert rt.tasks_executed == 9
         assert len(rt.executed_tasks) == 4
 
+    def test_executed_history_does_not_pin_arguments(self):
+        """A retained task drops its body, arguments and handles, so a
+        finished task's buffers are freed while it is still in the window."""
+        import weakref
+
+        from repro.runtime import DataHandle
+
+        class Buffer:
+            pass
+
+        buf = Buffer()
+        alive = weakref.ref(buf)
+        rt = Runtime(n_workers=2)
+        rt.insert_task(lambda payload, extra: None, (DataHandle(buf), READ),
+                       kwargs={"extra": buf})
+        rt.wait_all()
+        del buf
+        assert len(rt.executed_tasks) == 1
+        assert alive() is None
+
     def test_context_manager_waits(self):
         results = []
         with Runtime() as rt:

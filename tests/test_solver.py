@@ -135,6 +135,94 @@ class TestParity:
         assert solver.cache is not None and solver.cache.factorize_count == 0
 
 
+class TestSingleIsBatchOfOne:
+    """``Model.probability`` runs the batch executor as a batch of one."""
+
+    @staticmethod
+    def _assert_same(single, batch):
+        assert single.probability == batch.probability
+        assert single.error == batch.error
+        assert single.n_samples == batch.n_samples
+        assert single.method == batch.method
+        s_details = dict(single.details)
+        b_details = {k: v for k, v in batch.details.items() if not k.startswith("batch_")}
+        assert s_details.keys() == b_details.keys()
+        for key, value in s_details.items():
+            if not key.endswith("_seconds"):  # wall-clock phase timings
+                assert value == b_details[key], key
+
+    @pytest.mark.parametrize("method", ["dense", "tlr", "auto", "mc", "sov"])
+    @pytest.mark.parametrize("target", [None, "escalate", "budget"])
+    def test_probability_equals_batch_of_one(self, solver_sigma, method, target):
+        n = solver_sigma.shape[0]
+        a, b = np.full(n, -3.0), np.linspace(0.4, 1.2, n)
+        mean = np.linspace(-0.2, 0.2, n)
+        with MVNSolver(SolverConfig(method=method, n_samples=200, tile_size=9)) as solver:
+            model = solver.model(solver_sigma, mean=mean)
+            kwargs = {}
+            if target == "escalate":
+                first = model.probability(a, b, rng=4)
+                kwargs = {"target_error": first.error / 3.0, "max_samples": 10**5}
+            elif target == "budget":
+                kwargs = {"target_error": 1e-9, "max_samples": 400}
+            single = model.probability(a, b, rng=4, **kwargs)
+            batch = model.probability_batch([(a, b)], rng=4, **kwargs)[0]
+        self._assert_same(single, batch)
+        plan = single.details["plan"]
+        if target is None:
+            assert plan["rounds"] == 1 and plan["samples_used"] == 200
+            assert plan["target_met"] is None
+        elif target == "escalate":
+            assert plan["rounds"] >= 2 and plan["samples_used"] > 200
+            assert plan["target_met"] is (single.error <= kwargs["target_error"])
+        else:
+            assert plan["rounds"] == 2 and plan["samples_used"] == 600
+            assert plan["target_met"] is False
+
+    def test_query_mean_overrides_model_mean(self, solver_sigma):
+        from repro import MVNQuery
+
+        n = solver_sigma.shape[0]
+        a, b = _box(n)
+        mu = np.linspace(-0.3, 0.6, n)
+        with MVNSolver(SolverConfig(method="dense", n_samples=200)) as solver:
+            model = solver.model(solver_sigma)
+            single = model.query(MVNQuery(a, b, mean=mu, rng=2))
+            batch = model.probability_batch([(a, b)], means=[mu], rng=2)[0]
+        assert single.probability == batch.probability
+        assert single.error == batch.error
+
+
+class TestConfigPropagation:
+    """Every sweep of a model takes its options from the one config mapping."""
+
+    @pytest.mark.parametrize("algorithm", ["prefix", "sequential"])
+    def test_confidence_region_honours_sweep_knobs(self, solver_sigma, monkeypatch, algorithm):
+        import repro.core.pmvn as pmvn_mod
+        import repro.query.executors as executors_mod
+
+        seen = []
+        real = pmvn_mod.pmvn_integrate_batch
+
+        def spy(boxes, factor, options=None, runtime=None, means=None):
+            seen.append(options)
+            return real(boxes, factor, options, runtime=runtime, means=means)
+
+        monkeypatch.setattr(pmvn_mod, "pmvn_integrate_batch", spy)
+        monkeypatch.setattr(executors_mod, "pmvn_integrate_batch", spy)
+        config = SolverConfig(method="dense", n_samples=64, chain_block=24,
+                              max_workspace_cols=5000, kernel_threads=2)
+        mean = np.linspace(-0.5, 1.0, solver_sigma.shape[0])
+        with MVNSolver(config) as solver:
+            solver.model(solver_sigma, mean=mean).confidence_region(
+                0.4, algorithm=algorithm, rng=0, levels=[1, 5, 25])
+        assert seen
+        for options in seen:
+            assert options.chain_block == 24
+            assert options.max_workspace_cols == 5000
+            assert options.kernel_threads == 2
+
+
 class TestCacheBehavior:
     def test_one_factorization_across_query_kinds(self, correlation_sigma):
         """probability -> batch -> confidence_region share a single factor.

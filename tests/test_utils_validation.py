@@ -1,5 +1,7 @@
 """Unit tests for repro.utils.validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,20 @@ class TestCovariance:
         a[0, 1] = a[1, 0] = np.nan
         with pytest.raises(ValueError):
             check_covariance(a)
+
+    def test_nan_offdiagonal_reported_as_nan(self):
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"finite: entry \(0, 2\) is nan"):
+            check_covariance(a)
+
+    def test_inf_diagonal_reported_as_inf_without_warning(self):
+        a = np.eye(3)
+        a[1, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"finite: entry \(1, 1\) is inf"):
+                check_covariance(a)
 
     def test_require_spd_rejects_indefinite(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # symmetric but indefinite
