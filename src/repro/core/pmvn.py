@@ -46,6 +46,21 @@ therefore keeps all tile widths and box offsets multiples of
 that alignment holds (``n_samples`` and the chain block both divisible by
 the lane).  ``PMVNOptions.fusion`` selects ``"auto"`` (default), ``"fused"``
 (force), or ``"interleaved"`` (the PR-6 schedule).
+
+Sweep set-up
+------------
+Both schedules set a wave up copy-free in the pooled
+:class:`SweepWorkspace` tiles.  Each box takes one
+:func:`~repro.stats.qmc.qmc_source` in box order (so the rng is consumed
+exactly as by a loop of single sweeps), and the Richtmyer variates are
+written from the process-wide memoized lattice base straight into the
+``R`` tiles, shifted, wrapped and clipped in place — no per-box ``n x N``
+matrix is built.  ``Y`` tiles are not initialized (the kernel writes each
+row before anything reads it), and a row block whose lower limits are all
+``-inf`` (upper all ``+inf``) reads the workspace's shared infinite tile
+while the GEMM propagation skips that side.  A warm pooled sweep therefore
+allocates no ``n x N`` temporaries, and its answers are bit-identical to
+materializing every matrix.
 """
 
 from __future__ import annotations
@@ -66,7 +81,7 @@ from repro.core.kernel_backend import (
 from repro.core.qmc_kernel import qmc_kernel_tile
 from repro.mvn.result import MVNResult
 from repro.runtime import AccessMode, DataHandle, Runtime
-from repro.stats.qmc import qmc_samples
+from repro.stats.qmc import qmc_source
 from repro.utils.timers import TimingRegistry, timed
 from repro.utils.validation import check_limits, check_positive_int
 from repro.utils.validation import ensure_1d
@@ -78,6 +93,7 @@ __all__ = [
     "pmvn_integrate_batch",
     "pmvn_dense",
     "pmvn_tlr",
+    "default_chain_block",
 ]
 
 #: default chain-block width of the batched sweep (wider blocks amortize the
@@ -98,6 +114,17 @@ BATCH_FUSION_MODES = ("auto", "fused", "interleaved")
 #: lane makes each column land in the same lane group as in the interleaved
 #: schedule, so per-column GEMM/GEMV results are bitwise unchanged.
 _COLUMN_LANE = 8
+
+
+def default_chain_block(tile_size: int, n_samples: int) -> int:
+    """Chain-block width of a sweep whose options leave ``chain_block`` unset.
+
+    :data:`BATCH_CHAIN_BLOCK` chains, never narrower than the factor tile and
+    never wider than ``n_samples``.  The sweep and the task-graph cost models
+    (:func:`repro.distributed.pmvn_model.build_pmvn_task_graph`) share it, so
+    modelled sweep task counts match the real ones.
+    """
+    return min(n_samples, max(tile_size, min(BATCH_CHAIN_BLOCK, n_samples)))
 
 
 @dataclass
@@ -168,16 +195,21 @@ def _gemm_limits_update(
     r: int,
     workspace: "SweepWorkspace",
     skip_a: bool,
+    skip_b: bool,
     clock: "_PhaseClock",
 ) -> None:
     """Task body for step (c): subtract ``L[j, r] @ Y[r]`` from both limit blocks.
 
     The product lands in a per-worker scratch block (``out=`` GEMM / low-rank
     apply) and is then axpy'd into the limit blocks in place, so the trailing
-    updates allocate nothing.  ``skip_a`` marks row blocks whose lower limits
-    are all ``-inf``: subtracting a finite update from ``-inf`` is an exact
-    no-op, so the A-side traffic is skipped entirely (bit-identical).
+    updates allocate nothing.  ``skip_a`` / ``skip_b`` mark row blocks whose
+    lower limits are all ``-inf`` / upper limits all ``+inf``: subtracting a
+    finite update from an infinity is an exact no-op, so that side's traffic
+    is skipped entirely (bit-identical) — and its block may be the shared
+    read-only infinite tile of :meth:`SweepWorkspace.infinite_tile`.
     """
+    if skip_a and skip_b:
+        return
     start = time.perf_counter()
     rows, cols = a_block.shape
     base = workspace.acquire_gemm_scratch(rows, cols)
@@ -186,10 +218,16 @@ def _gemm_limits_update(
         factor.apply_offdiag_into(j, r, y_block, out=update)
         if not skip_a:
             a_block -= update
-        b_block -= update
+        if not skip_b:
+            b_block -= update
     finally:
         workspace.release_gemm_scratch(base)
     clock.add_gemm(time.perf_counter() - start)
+
+
+def _infinite_row_blocks(vec: np.ndarray, row_ranges, test) -> list[bool]:
+    """Per row block: is every limit of ``vec`` in it infinite (``test``)?"""
+    return [bool(np.all(test(vec[r0:r1]))) for (r0, r1) in row_ranges]
 
 
 def _resolve_means(means, n_boxes: int, n: int) -> list[np.ndarray]:
@@ -300,10 +338,9 @@ def pmvn_integrate_batch(
         limits.append((a_vec - mus[idx], b_vec - mus[idx]))
 
     n_samples = check_positive_int(options.n_samples, "n_samples")
-    if options.chain_block is not None:
-        chain_block = options.chain_block
-    else:
-        chain_block = max(factor.tile_size, min(BATCH_CHAIN_BLOCK, n_samples))
+    chain_block = options.chain_block
+    if chain_block is None:
+        chain_block = default_chain_block(factor.tile_size, n_samples)
     chain_block = check_positive_int(min(chain_block, n_samples), "chain_block")
     timings = options.timings
 
@@ -393,11 +430,18 @@ class SweepWorkspace:
     (orders of magnitude slower than writing warm memory on some systems);
     the pool pays the first-touch cost once and every later wave — and every
     later *call*, when the pool is held by a session object — recycles the
-    same buffers.  Three kinds of buffer live here:
+    same buffers.  Four kinds of buffer live here:
 
     * the wave matrices (limits / variates / samples / probabilities), keyed
       by (role, block slot, row block); a wave whose tail chunk is narrower
-      simply takes a column view,
+      simply takes a column view.  The variates are written straight from
+      the box's :class:`~repro.stats.qmc.VariateSource` (no per-box ``n x N``
+      matrix); the sample tiles are never initialized, because the kernel
+      writes each row before anything reads it,
+    * the shared infinite limit tiles (:meth:`infinite_tile`): a row block
+      whose lower limits are all ``-inf`` (upper all ``+inf``) reads one
+      constant tile instead of a filled pooled one — a CRD sweep
+      (``b = +inf``) fills and updates no B tiles at all,
     * a checkout pool of :class:`~repro.core.kernel_backend.KernelWorkspace`
       objects (the kernel's row-scratch vectors), and
     * a checkout pool of GEMM scratch blocks for the limit-propagation
@@ -419,6 +463,7 @@ class SweepWorkspace:
         self._gemm_rows = 0
         self._gemm_cols = 0
         self._wave_in_use = False
+        self._infinite: dict[float, np.ndarray] = {}
 
     def checkout_wave_buffers(self) -> bool:
         """Claim exclusive use of the keyed wave buffers (non-blocking).
@@ -449,6 +494,23 @@ class SweepWorkspace:
             buf = np.empty(tuple(max(h, w) for h, w in zip(have, shape)))
             self._buffers[key] = buf
         return buf[tuple(slice(0, want) for want in shape)]
+
+    def infinite_tile(self, value: float, rows: int, cols: int) -> np.ndarray:
+        """A shared constant ``(rows, cols)`` tile filled with ``value`` (``+/-inf``).
+
+        Every shape is a C-contiguous, writeable view of the first
+        ``rows * cols`` entries of one buffer per sign (grown to the largest
+        request), so the compiled kernels accept it.  It must never be
+        written: the sweep hands it only to row blocks whose GEMM
+        propagation skips that side.
+        """
+        size = rows * cols
+        with self._lock:
+            buf = self._infinite.get(value)
+            if buf is None or buf.size < size:
+                buf = np.full(size, value)
+                self._infinite[value] = buf
+        return buf[:size].reshape(rows, cols)
 
     def acquire_kernel_workspace(self) -> KernelWorkspace:
         """Check a kernel scratch out of the pool (create on exhaustion)."""
@@ -520,13 +582,12 @@ def _sweep_wave(
     n = factor.n
     row_ranges = factor.row_ranges
     n_row_blocks = len(row_ranges)
-    # row blocks whose lower limits are all -inf never change under the GEMM
-    # propagation (-inf minus a finite update is -inf); their A-side axpy is
-    # skipped per box
-    neginf_blocks = {
-        box: [bool(np.all(np.isneginf(limits[box][0][r0:r1]))) for (r0, r1) in row_ranges]
-        for box in wave
-    }
+    # row blocks whose lower limits are all -inf (upper limits all +inf) never
+    # change under the GEMM propagation (an infinity minus a finite update is
+    # that infinity): they share the workspace's constant infinite tile and
+    # their side of the axpy is skipped, per box
+    neginf_blocks = {box: _infinite_row_blocks(limits[box][0], row_ranges, np.isneginf) for box in wave}
+    posinf_blocks = {box: _infinite_row_blocks(limits[box][1], row_ranges, np.isposinf) for box in wave}
 
     # chain (column) blocks, box-aligned; the submission order below
     # interleaves same-position blocks across the boxes of the wave
@@ -536,6 +597,8 @@ def _sweep_wave(
         (box, chunk, *chain_ranges[chunk]) for chunk in range(n_chunks) for box in wave
     ]
     n_blocks = len(blocks)
+    skip_a = [neginf_blocks[box] for (box, _chunk, _c0, _c1) in blocks]
+    skip_b = [posinf_blocks[box] for (box, _chunk, _c0, _c1) in blocks]
 
     a_blocks: list[list[np.ndarray]] = []
     b_blocks: list[list[np.ndarray]] = []
@@ -546,55 +609,55 @@ def _sweep_wave(
     prefix_sumsqs = [np.zeros(n) for _ in range(n_blocks)] if options.return_prefix else None
 
     with timed(timings, "qmc_generation"):
-        # Uniform variates for the whole sweep; the SOV recursion consumes one
-        # row of uniforms per dimension (the last dimension's draw is unused).
-        # One draw per box, in box order, so a batched call consumes the rng
-        # exactly like the equivalent loop of single-box sweeps.
-        r_matrices = {
-            box: qmc_samples(n, n_samples, method=options.qmc, rng=options.rng)
-            for box in wave
-        }
+        # Uniform variates for the whole sweep, written straight into the
+        # pooled R tiles; the SOV recursion consumes one row of uniforms per
+        # dimension (the last dimension's draw is unused).  One source per
+        # box, in box order, so a batched call consumes the rng exactly like
+        # the equivalent loop of single-box sweeps.
+        sources = {box: qmc_source(n, n_samples, method=options.qmc, rng=options.rng) for box in wave}
+        for slot, (box, _chunk, c0, c1) in enumerate(blocks):
+            r_col = []
+            for r_idx, (r0, r1) in enumerate(row_ranges):
+                r_tile = workspace.get(("r", slot, r_idx), (r1 - r0, c1 - c0))
+                sources[box].fill(r_tile, r0, r1, c0, c1)
+                r_col.append(r_tile)
+            r_blocks.append(r_col)
 
     with timed(timings, "workspace_setup"):
         for slot, (box, _chunk, c0, c1) in enumerate(blocks):
             width = c1 - c0
             a_vec, b_vec = limits[box]
-            r_matrix = r_matrices[box]
             a_col = []
             b_col = []
             y_col = []
-            r_col = []
             for r_idx, (r0, r1) in enumerate(row_ranges):
                 rows = r1 - r0
-                a_tile = workspace.get(("a", slot, r_idx), (rows, width))
-                a_tile[...] = a_vec[r0:r1, None]
-                b_tile = workspace.get(("b", slot, r_idx), (rows, width))
-                b_tile[...] = b_vec[r0:r1, None]
-                y_tile = workspace.get(("y", slot, r_idx), (rows, width))
-                y_tile[...] = 0.0
-                r_tile = workspace.get(("r", slot, r_idx), (rows, width))
-                np.copyto(r_tile, r_matrix[r0:r1, c0:c1])
+                if skip_a[slot][r_idx]:
+                    a_tile = workspace.infinite_tile(-np.inf, rows, width)
+                else:
+                    a_tile = workspace.get(("a", slot, r_idx), (rows, width))
+                    a_tile[...] = a_vec[r0:r1, None]
+                if skip_b[slot][r_idx]:
+                    b_tile = workspace.infinite_tile(np.inf, rows, width)
+                else:
+                    b_tile = workspace.get(("b", slot, r_idx), (rows, width))
+                    b_tile[...] = b_vec[r0:r1, None]
                 a_col.append(a_tile)
                 b_col.append(b_tile)
-                y_col.append(y_tile)
-                r_col.append(r_tile)
+                # Y needs no initialization: the kernel writes row i before
+                # any read of it
+                y_col.append(workspace.get(("y", slot, r_idx), (rows, width)))
             a_blocks.append(a_col)
             b_blocks.append(b_col)
             y_blocks.append(y_col)
-            r_blocks.append(r_col)
             p_seg = workspace.get(("p", slot), (width,))
             p_seg[...] = 1.0
             p_segments.append(p_seg)
-    del r_matrices
 
     labels = [f"{box}.{chunk}" for (box, chunk, _c0, _c1) in blocks]
-    skip_a = [
-        [neginf_blocks[box][j] for j in range(n_row_blocks)]
-        for (box, _chunk, _c0, _c1) in blocks
-    ]
     _submit_sweep(
         rt, factor, labels, a_blocks, b_blocks, y_blocks, r_blocks,
-        p_segments, prefix_sums, prefix_sumsqs, skip_a,
+        p_segments, prefix_sums, prefix_sumsqs, skip_a, skip_b,
         workspace, backend, clock, timings,
     )
 
@@ -626,6 +689,7 @@ def _submit_sweep(
     prefix_sums: list[np.ndarray] | None,
     prefix_sumsqs: list[np.ndarray] | None,
     skip_a: list[list[bool]],
+    skip_b: list[list[bool]],
     workspace: SweepWorkspace,
     backend: KernelBackend,
     clock: _PhaseClock,
@@ -636,9 +700,10 @@ def _submit_sweep(
     Schedule-agnostic: the caller decides how the wave's chains are cut into
     column blocks (one per ``labels`` entry — interleaved per-box chunks or
     fused cross-box tiles) and hands over the filled tiles; this helper only
-    wires the dependency graph.  ``skip_a[k][j]`` marks column blocks whose
-    row block ``j`` has all-``-inf`` lower limits (the A-side axpy of the
-    GEMM propagation is an exact no-op there and is skipped).
+    wires the dependency graph.  ``skip_a[k][j]`` / ``skip_b[k][j]`` mark
+    column blocks whose row block ``j`` has all-``-inf`` lower / all-``+inf``
+    upper limits (that side's axpy of the GEMM propagation is an exact no-op
+    there and is skipped).
     """
     row_ranges = factor.row_ranges
     n_row_blocks = len(row_ranges)
@@ -703,6 +768,7 @@ def _submit_sweep(
                             "factor": factor, "j": j, "r": r - 1,
                             "workspace": workspace,
                             "skip_a": skip_a[k][j],
+                            "skip_b": skip_b[k][j],
                             "clock": clock,
                         },
                         name=f"gemm({j},{labels[k]},{r - 1})",
@@ -760,10 +826,8 @@ def _sweep_wave_fused(
         width -= width % _COLUMN_LANE
     width = min(width, total)
 
-    neginf_blocks = {
-        box: [bool(np.all(np.isneginf(limits[box][0][r0:r1]))) for (r0, r1) in row_ranges]
-        for box in wave
-    }
+    neginf_blocks = {box: _infinite_row_blocks(limits[box][0], row_ranges, np.isneginf) for box in wave}
+    posinf_blocks = {box: _infinite_row_blocks(limits[box][1], row_ranges, np.isposinf) for box in wave}
 
     col_ranges = [(c0, min(c0 + width, total)) for c0 in range(0, total, width)]
     n_blocks = len(col_ranges)
@@ -779,65 +843,72 @@ def _sweep_wave_fused(
 
     seg_lists = [_segments(c0, c1) for (c0, c1) in col_ranges]
 
-    with timed(timings, "qmc_generation"):
-        # one draw per box, in box order — identical rng consumption to the
-        # interleaved schedule and to a loop of single-box sweeps
-        r_matrices = {
-            box: qmc_samples(n, n_samples, method=options.qmc, rng=options.rng)
-            for box in wave
-        }
+    # a fused tile's side is infinite (shared tile, axpy skipped) only when
+    # *every* box with columns in the tile has that side infinite on the row
+    # block
+    def _tile_flags(per_box: dict) -> list[list[bool]]:
+        return [
+            [all(per_box[box][j] for (box, _lo, _hi, _off) in segs) for j in range(n_row_blocks)]
+            for segs in seg_lists
+        ]
+
+    skip_a = _tile_flags(neginf_blocks)
+    skip_b = _tile_flags(posinf_blocks)
 
     a_blocks: list[list[np.ndarray]] = []
     b_blocks: list[list[np.ndarray]] = []
     y_blocks: list[list[np.ndarray]] = []
     r_blocks: list[list[np.ndarray]] = []
     p_segments: list[np.ndarray] = []
+    with timed(timings, "qmc_generation"):
+        # one source per box, in box order — identical rng consumption to the
+        # interleaved schedule and to a loop of single-box sweeps
+        sources = {box: qmc_source(n, n_samples, method=options.qmc, rng=options.rng) for box in wave}
+        for slot, (c0, c1) in enumerate(col_ranges):
+            r_col = []
+            for r_idx, (r0, r1) in enumerate(row_ranges):
+                r_tile = workspace.get(("r", slot, r_idx), (r1 - r0, c1 - c0))
+                for box, lo, hi, off in seg_lists[slot]:
+                    sources[box].fill(r_tile[:, off:off + (hi - lo)], r0, r1, lo, hi)
+                r_col.append(r_tile)
+            r_blocks.append(r_col)
+
     with timed(timings, "workspace_setup"):
         for slot, (c0, c1) in enumerate(col_ranges):
             w = c1 - c0
             a_col = []
             b_col = []
             y_col = []
-            r_col = []
             for r_idx, (r0, r1) in enumerate(row_ranges):
                 rows = r1 - r0
-                a_tile = workspace.get(("a", slot, r_idx), (rows, w))
-                b_tile = workspace.get(("b", slot, r_idx), (rows, w))
-                y_tile = workspace.get(("y", slot, r_idx), (rows, w))
-                y_tile[...] = 0.0
-                r_tile = workspace.get(("r", slot, r_idx), (rows, w))
+                fill_a = not skip_a[slot][r_idx]
+                fill_b = not skip_b[slot][r_idx]
+                a_tile = (workspace.get(("a", slot, r_idx), (rows, w)) if fill_a
+                          else workspace.infinite_tile(-np.inf, rows, w))
+                b_tile = (workspace.get(("b", slot, r_idx), (rows, w)) if fill_b
+                          else workspace.infinite_tile(np.inf, rows, w))
                 for box, lo, hi, off in seg_lists[slot]:
                     a_vec, b_vec = limits[box]
                     seg = slice(off, off + (hi - lo))
-                    a_tile[:, seg] = a_vec[r0:r1, None]
-                    b_tile[:, seg] = b_vec[r0:r1, None]
-                    np.copyto(r_tile[:, seg], r_matrices[box][r0:r1, lo:hi])
+                    if fill_a:
+                        a_tile[:, seg] = a_vec[r0:r1, None]
+                    if fill_b:
+                        b_tile[:, seg] = b_vec[r0:r1, None]
                 a_col.append(a_tile)
                 b_col.append(b_tile)
-                y_col.append(y_tile)
-                r_col.append(r_tile)
+                # no initialization: the kernel writes row i before any read
+                y_col.append(workspace.get(("y", slot, r_idx), (rows, w)))
             a_blocks.append(a_col)
             b_blocks.append(b_col)
             y_blocks.append(y_col)
-            r_blocks.append(r_col)
             p_seg = workspace.get(("p", slot), (w,))
             p_seg[...] = 1.0
             p_segments.append(p_seg)
-    del r_matrices
 
-    # the A-side axpy of a fused tile can only be skipped when *every* box
-    # with columns in the tile has an all--inf lower-limit row block
-    skip_a = [
-        [
-            all(neginf_blocks[box][j] for (box, _lo, _hi, _off) in seg_lists[k])
-            for j in range(n_row_blocks)
-        ]
-        for k in range(n_blocks)
-    ]
     labels = [f"f{k}" for k in range(n_blocks)]
     _submit_sweep(
         rt, factor, labels, a_blocks, b_blocks, y_blocks, r_blocks,
-        p_segments, None, None, skip_a, workspace, backend, clock, timings,
+        p_segments, None, None, skip_a, skip_b, workspace, backend, clock, timings,
     )
 
     for w_idx, box in enumerate(wave):

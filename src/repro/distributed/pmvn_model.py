@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.pmvn import default_chain_block
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.simulator import ClusterSimulator, SimTask, SimulationResult
 from repro.perf.calibration import CalibrationResult
@@ -187,7 +188,7 @@ def build_pmvn_task_graph(
 ) -> list[SimTask]:
     """Symbolic task graph of the full PMVN (Cholesky + integration sweep)."""
     n_samples = check_positive_int(n_samples, "n_samples")
-    chain_block = chain_block or tile_size
+    chain_block = chain_block or default_chain_block(tile_size, n_samples)
     nt = _n_tiles(n, tile_size)
     nc = _n_tiles(n_samples, chain_block)
     nb = tile_size

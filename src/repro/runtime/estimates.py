@@ -88,7 +88,9 @@ class ModelEstimator(TaskEstimator):
         ``KernelRates.from_calibration(calibrate())`` to anchor the
         estimates to the local machine.
     tile_size, chain_block : int
-        Tile/chain-block extents assumed by the per-tag cost formulas.
+        Tile/chain-block extents assumed by the per-tag cost formulas; the
+        chain block defaults to the sweep's
+        :data:`~repro.core.pmvn.BATCH_CHAIN_BLOCK`.
     mean_rank : float
         Mean off-diagonal rank assumed for TLR-tagged kernels.
 
@@ -105,13 +107,17 @@ class ModelEstimator(TaskEstimator):
         self,
         rates=None,
         tile_size: int = 128,
-        chain_block: int = 256,
+        chain_block: int | None = None,
         mean_rank: float = 12.0,
     ) -> None:
         if rates is None:
             from repro.distributed.pmvn_model import KernelRates
 
             rates = KernelRates()
+        if chain_block is None:
+            from repro.core.pmvn import BATCH_CHAIN_BLOCK
+
+            chain_block = BATCH_CHAIN_BLOCK
         if tile_size < 1 or chain_block < 1:
             raise ValueError("tile_size and chain_block must be >= 1")
         self.rates = rates

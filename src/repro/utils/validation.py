@@ -57,8 +57,16 @@ def check_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_symmetric(a, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
-    """Validate that ``a`` is symmetric up to relative tolerance ``tol``."""
+    """Validate that ``a`` is symmetric up to relative tolerance ``tol``.
+
+    An exactly symmetric matrix (the common case: covariances built or
+    assembled symmetric) passes on one ``array_equal`` test; the tolerance
+    scale and the ``allclose`` comparison run only when that fails.  Exact
+    equality implies closeness, so the verdict is the same either way.
+    """
     arr = check_square(a, name)
+    if np.array_equal(arr, arr.T):
+        return arr
     scale = max(1.0, float(np.max(np.abs(arr))))
     if not np.allclose(arr, arr.T, atol=tol * scale, rtol=0.0):
         raise ValueError(f"{name} must be symmetric (tolerance {tol})")

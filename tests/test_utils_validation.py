@@ -62,6 +62,27 @@ class TestSquareSymmetric:
         a = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
         check_symmetric(a)
 
+    def test_check_symmetric_exact_fast_path(self, medium_spd):
+        assert np.array_equal(medium_spd, medium_spd.T)
+        assert check_symmetric(medium_spd) is not None
+
+    def test_check_symmetric_accepts_below_scaled_tolerance(self, medium_spd):
+        a = medium_spd * 50.0  # tolerance scales with max |a| = 50
+        a[3, 7] += 0.9 * 1e-8 * 50.0
+        assert not np.array_equal(a, a.T)
+        check_symmetric(a)
+
+    def test_check_symmetric_rejects_above_scaled_tolerance(self, medium_spd):
+        a = medium_spd * 50.0
+        a[3, 7] += 1.1 * 1e-8 * 50.0
+        with pytest.raises(ValueError, match="symmetric"):
+            check_symmetric(a)
+
+    def test_check_symmetric_rejects_nan(self):
+        a = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            check_symmetric(a)
+
 
 class TestCovariance:
     def test_valid_covariance(self, small_spd):
